@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <utility>
 
 #include "storage/fault_injection.h"
@@ -15,81 +14,16 @@ namespace engine {
 
 namespace {
 
-/// K-way merge by (distance, uid) of per-shard candidate lists — each
-/// already ascending by distance — into the engine's running verified
-/// list (kept ascending by distance).
-void KWayMergeByDistance(std::vector<const std::vector<Neighbor>*> lists,
-                         std::vector<Neighbor>* into) {
-  struct Head {
-    size_t list;
-    size_t pos;
-  };
-  auto head_less = [&lists](const Head& a, const Head& b) {
-    const Neighbor& na = (*lists[a.list])[a.pos];
-    const Neighbor& nb = (*lists[b.list])[b.pos];
-    if (na.distance != nb.distance) return na.distance > nb.distance;
-    return na.uid > nb.uid;  // Min-heap: invert.
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_less)> heap(
-      head_less);
-  size_t total = 0;
-  for (size_t l = 0; l < lists.size(); ++l) {
-    total += lists[l]->size();
-    if (!lists[l]->empty()) heap.push({l, 0});
-  }
-  if (total == 0) return;
-  std::vector<Neighbor> merged;
-  merged.reserve(total);
-  while (!heap.empty()) {
-    Head h = heap.top();
-    heap.pop();
-    merged.push_back((*lists[h.list])[h.pos]);
-    if (h.pos + 1 < lists[h.list]->size()) heap.push({h.list, h.pos + 1});
-  }
+/// Merges a shard's fresh candidates (ascending by distance) into the
+/// engine's running verified list (kept ascending by distance).
+void MergeByDistance(const std::vector<Neighbor>& fresh,
+                     std::vector<Neighbor>* into) {
   size_t mid = into->size();
-  into->insert(into->end(), merged.begin(), merged.end());
+  into->insert(into->end(), fresh.begin(), fresh.end());
   std::inplace_merge(into->begin(), into->begin() + mid, into->end(),
                      [](const Neighbor& a, const Neighbor& b) {
                        return a.distance < b.distance;
                      });
-}
-
-/// Shared shape of LoadDataset and ApplyBatch: items already grouped by
-/// home shard are applied in order on one worker task per shard, stopping
-/// a shard's task at its first error. `lock_hold_ms` (when non-null)
-/// observes how long each shard task held its shard mutex — the interval
-/// concurrent queries on that shard were blocked for.
-template <typename ShardPtr, typename Item, typename Apply>
-Status RouteAndApply(std::vector<ShardPtr>& shards, ThreadPool& threads,
-                     const std::vector<std::vector<const Item*>>& groups,
-                     const Apply& apply,
-                     telemetry::Histogram* lock_hold_ms) {
-  std::vector<Status> statuses(shards.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (groups[s].empty()) continue;
-    tasks.push_back([&, s] {
-      auto& shard = *shards[s];
-      MutexLock lock(&shard.mu);
-      auto locked_at = std::chrono::steady_clock::now();
-      for (const Item* item : groups[s]) {
-        Status st = apply(*shard.tree, *item);
-        if (!st.ok()) {
-          statuses[s] = std::move(st);
-          break;
-        }
-      }
-      telemetry::Observe(lock_hold_ms,
-                         std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - locked_at)
-                             .count());
-    });
-  }
-  threads.RunAll(std::move(tasks));
-  for (Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -141,8 +75,7 @@ ShardedPebEngine::ShardedPebEngine(
       durable_(holder.durable),
       pool_(disk_.get(),
             BufferPoolOptions{options.buffer_pages, options.pool_shards}),
-      threads_(options.num_threads),
-      delta_on_(options.tree.index.delta_ingest) {
+      threads_(options.num_threads) {
   if (durable_ != nullptr) {
     Status st = durable_->status();
     if (st.ok()) {
@@ -164,17 +97,13 @@ ShardedPebEngine::ShardedPebEngine(
   }
   size_t n = router_->num_shards();
   shards_.reserve(n);
+  deltas_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->tree = std::make_unique<PebTree>(&pool_, options_.tree, store,
                                             roles, snapshot_);
     shards_.push_back(std::move(shard));
-  }
-  if (delta_on_) {
-    deltas_.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      deltas_.push_back(std::make_unique<ShardDelta>());
-    }
+    deltas_.push_back(std::make_unique<ShardDelta>());
   }
   // Instruments resolve eagerly here (not lazily on first use), so a
   // disconnected record site shows up as a registered-but-zero instrument
@@ -192,16 +121,14 @@ ShardedPebEngine::ShardedPebEngine(
     pknn_rounds_ = registry_->counter("engine.pknn.rounds");
     pknn_retirements_ = registry_->counter("engine.pknn.retirements");
     batch_lock_hold_ms_ = registry_->histogram("engine.batch.lock_hold_ms");
-    if (delta_on_) {
-      delta_appends_ = registry_->counter("engine.delta.appends");
-      delta_probes_ = registry_->counter("engine.delta.probes");
-      delta_shadowed_ = registry_->counter("engine.delta.shadowed");
-      delta_merges_ = registry_->counter("engine.delta.merges");
-      delta_merged_records_counter_ =
-          registry_->counter("engine.delta.merged_records");
-      merge_lock_hold_ms_ = registry_->histogram("engine.merge.lock_hold_ms");
-      delta_backlog_ = registry_->gauge("engine.delta.backlog");
-    }
+    delta_appends_ = registry_->counter("engine.delta.appends");
+    delta_probes_ = registry_->counter("engine.delta.probes");
+    delta_shadowed_ = registry_->counter("engine.delta.shadowed");
+    delta_merges_ = registry_->counter("engine.delta.merges");
+    delta_merged_records_counter_ =
+        registry_->counter("engine.delta.merged_records");
+    merge_lock_hold_ms_ = registry_->histogram("engine.merge.lock_hold_ms");
+    delta_backlog_ = registry_->gauge("engine.delta.backlog");
     pool_collector_token_ = registry_->RegisterCollector([this] {
       std::vector<telemetry::MetricsRegistry::Sample> out;
       for (size_t i = 0; i < pool_.num_shards(); ++i) {
@@ -215,13 +142,11 @@ ShardedPebEngine::ShardedPebEngine(
                          static_cast<double>(st.physical_reads));
         out.emplace_back(p + "evictions",
                          static_cast<double>(st.evictions));
-        out.emplace_back(p + "prefetch_reads",
-                         static_cast<double>(st.prefetch_reads));
       }
       return out;
     });
   }
-  if (delta_on_ && options_.delta.background_merge_period_ms > 0) {
+  if (options_.delta.background_merge_period_ms > 0) {
     merger_ = std::thread([this] {
       const auto period =
           std::chrono::milliseconds(options_.delta.background_merge_period_ms);
@@ -335,13 +260,7 @@ Status ShardedPebEngine::CheckpointLocked(bool clean) {
   MutexLock ingest(&ingest_mu_);
   // 1. Every buffered event must reach the trees: the WAL is about to be
   //    truncated, and only tree pages are checkpointed.
-  if (delta_on_) {
-    std::vector<size_t> which;
-    for (size_t s = 0; s < deltas_.size(); ++s) {
-      if (deltas_[s]->records() > 0) which.push_back(s);
-    }
-    PEB_RETURN_NOT_OK(MergeShardsLocked(which));
-  }
+  PEB_RETURN_NOT_OK(MergeShardsLocked(NonEmptyDeltas()));
   // 2. Every dirty frame must reach the overlay — strictly: a pinned dirty
   //    page would silently checkpoint a stale version.
   PEB_RETURN_NOT_OK(pool_.FlushAllStrict());
@@ -625,9 +544,9 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
   }
   {
     MutexLock ingest(&ingest_mu_);
-    // Status parity with the tree ops the direct path would have run:
-    // Insert -> AlreadyExists/InvalidArgument, Delete -> NotFound, Update
-    // is an upsert bounded by the encoding.
+    // The statuses the tree ops would return: Insert ->
+    // AlreadyExists/InvalidArgument, Delete -> NotFound, Update is an
+    // upsert bounded by the encoding.
     if (require_absent && PresentInShard(idx, state.id)) {
       return Status::AlreadyExists("object " + std::to_string(state.id) +
                                    " already indexed");
@@ -659,58 +578,20 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
 }
 
 Status ShardedPebEngine::Insert(const MovingObject& object) {
-  if (delta_on_) {
-    return IngestOne(object, /*tombstone=*/false, /*require_absent=*/true,
-                     /*require_present=*/false);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(object.id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Insert(object));
-  }
-  return LogOps({{engine_wal::LoggedOp::kInsert, object}});
+  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/true,
+                   /*require_present=*/false);
 }
 
 Status ShardedPebEngine::Update(const MovingObject& object) {
-  if (delta_on_) {
-    return IngestOne(object, /*tombstone=*/false, /*require_absent=*/false,
-                     /*require_present=*/false);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(object.id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Update(object));
-  }
-  return LogOps({{engine_wal::LoggedOp::kUpdate, object}});
+  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/false,
+                   /*require_present=*/false);
 }
 
 Status ShardedPebEngine::Delete(UserId id) {
-  if (delta_on_) {
-    MovingObject tomb;
-    tomb.id = id;
-    return IngestOne(tomb, /*tombstone=*/true, /*require_absent=*/false,
-                     /*require_present=*/true);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Delete(id));
-  }
   MovingObject tomb;
   tomb.id = id;
-  return LogOps({{engine_wal::LoggedOp::kDelete, tomb}});
+  return IngestOne(tomb, /*tombstone=*/true, /*require_absent=*/false,
+                   /*require_present=*/true);
 }
 
 Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
@@ -720,14 +601,36 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   for (const MovingObject& o : dataset.objects) {
     groups[router_->ShardOf(o.id)].push_back(&o);
   }
+  // One worker task per shard inserts its group in order, stopping at the
+  // shard's first error; batch_lock_hold_ms_ observes how long each task
+  // held its shard mutex.
+  std::vector<Status> statuses(shards_.size());
+  std::vector<std::function<void()>> tasks;
   for (size_t s = 0; s < shards_.size(); ++s) {
     telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
+    if (groups[s].empty()) continue;
+    tasks.push_back([this, s, &groups, &statuses] {
+      Shard& shard = *shards_[s];
+      MutexLock lock(&shard.mu);
+      const auto locked_at = std::chrono::steady_clock::now();
+      for (const MovingObject* o : groups[s]) {
+        statuses[s] = shard.tree->Insert(*o);
+        if (!statuses[s].ok()) break;
+      }
+      telemetry::Observe(batch_lock_hold_ms_,
+                         std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - locked_at)
+                             .count());
+    });
   }
-  Status st = RouteAndApply(shards_, threads_, groups,
-                            [](PebTree& tree, const MovingObject& o) {
-                              return tree.Insert(o);
-                            },
-                            batch_lock_hold_ms_);
+  threads_.RunAll(std::move(tasks));
+  Status st;
+  for (Status& shard_st : statuses) {
+    if (!shard_st.ok()) {
+      st = std::move(shard_st);
+      break;
+    }
+  }
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
   // Bulk loads are not journaled event-by-event; a checkpoint makes the
   // loaded base state durable in one stroke instead.
@@ -740,83 +643,54 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
 
 Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
   PEB_RETURN_NOT_OK(CheckDurable());
-  if (delta_on_) {
-    if (events.empty()) return Status::OK();
-    // Pre-validate so the whole batch is rejected before anything is
-    // published (the direct path stops the bad event's shard group
-    // mid-application instead; error batches are outside the equivalence
-    // contract — see the header).
-    for (const UpdateEvent& ev : events) {
-      if (ev.state.id >= num_users_) {
-        return Status::InvalidArgument("object id outside the policy encoding");
-      }
-    }
-    // Backpressure: merge any destination shard already at the hard cap
-    // BEFORE appending — the writer stalls here, queries never do.
-    const size_t cap = options_.delta.hard_cap != 0
-                           ? options_.delta.hard_cap
-                           : options_.delta.merge_threshold * 8;
-    std::vector<size_t> over;
-    for (size_t s = 0; s < deltas_.size(); ++s) {
-      if (deltas_[s]->records() >= cap) over.push_back(s);
-    }
-    if (!over.empty()) {
-      delta_backpressure_merges_.fetch_add(over.size(),
-                                           std::memory_order_relaxed);
-      PEB_RETURN_NOT_OK(MergeShards(over));
-    }
-    {
-      MutexLock ingest(&ingest_mu_);
-      // ONE seq for the whole batch: the release store below publishes it
-      // atomically, so a query's pinned watermark sees all of it or none.
-      const uint64_t seq = ++next_seq_;
-      for (const UpdateEvent& ev : events) {
-        const size_t idx = router_->ShardOf(ev.state.id);
-        telemetry::Inc(shard_instruments_[idx].updates);
-        deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq);
-      }
-      published_seq_.store(seq, std::memory_order_release);
-      if (wal_ != nullptr) {
-        // One kEvents record per batch, journaled inside the ingest section
-        // (WAL order = publication order); an OK return means the whole
-        // batch is on disk once the sync below lands.
-        std::vector<engine_wal::LoggedOp> ops;
-        ops.reserve(events.size());
-        for (const UpdateEvent& ev : events) {
-          ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
-        }
-        PEB_RETURN_NOT_OK(LogOps(ops));
-      }
-    }
-    telemetry::Inc(delta_appends_, events.size());
-    UpdateBacklogGauge();
-    return MaybeMergeDeltas();
-  }
-  WriterMutexLock state_lock(&state_mu_);
-  std::vector<std::vector<const UpdateEvent*>> groups(shards_.size());
+  if (events.empty()) return Status::OK();
+  // Pre-validate so the whole batch is rejected before anything is
+  // published.
   for (const UpdateEvent& ev : events) {
-    groups[router_->ShardOf(ev.state.id)].push_back(&ev);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
-  }
-  Status st = RouteAndApply(shards_, threads_, groups,
-                            [](PebTree& tree, const UpdateEvent& ev) {
-                              return tree.Update(ev.state);
-                            },
-                            batch_lock_hold_ms_);
-  // paranoid_checks: structural audit inside the batch's own exclusive
-  // section, so a corrupting batch is caught before any query sees it.
-  if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
-  if (st.ok() && wal_ != nullptr) {
-    std::vector<engine_wal::LoggedOp> ops;
-    ops.reserve(events.size());
-    for (const UpdateEvent& ev : events) {
-      ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
+    if (ev.state.id >= num_users_) {
+      return Status::InvalidArgument("object id outside the policy encoding");
     }
-    st = LogOps(ops);
   }
-  return st;
+  // Backpressure: merge any destination shard already at the hard cap
+  // BEFORE appending — the writer stalls here, queries never do.
+  const size_t cap = options_.delta.hard_cap != 0
+                         ? options_.delta.hard_cap
+                         : options_.delta.merge_threshold * 8;
+  std::vector<size_t> over;
+  for (size_t s = 0; s < deltas_.size(); ++s) {
+    if (deltas_[s]->records() >= cap) over.push_back(s);
+  }
+  if (!over.empty()) {
+    delta_backpressure_merges_.fetch_add(over.size(),
+                                         std::memory_order_relaxed);
+    PEB_RETURN_NOT_OK(MergeShards(over));
+  }
+  {
+    MutexLock ingest(&ingest_mu_);
+    // ONE seq for the whole batch: the release store below publishes it
+    // atomically, so a query's pinned watermark sees all of it or none.
+    const uint64_t seq = ++next_seq_;
+    for (const UpdateEvent& ev : events) {
+      const size_t idx = router_->ShardOf(ev.state.id);
+      telemetry::Inc(shard_instruments_[idx].updates);
+      deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq);
+    }
+    published_seq_.store(seq, std::memory_order_release);
+    if (wal_ != nullptr) {
+      // One kEvents record per batch, journaled inside the ingest section
+      // (WAL order = publication order); an OK return means the whole
+      // batch is on disk once the sync below lands.
+      std::vector<engine_wal::LoggedOp> ops;
+      ops.reserve(events.size());
+      for (const UpdateEvent& ev : events) {
+        ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
+      }
+      PEB_RETURN_NOT_OK(LogOps(ops));
+    }
+  }
+  telemetry::Inc(delta_appends_, events.size());
+  UpdateBacklogGauge();
+  return MaybeMergeDeltas();
 }
 
 // ---------------------------------------------------------------------------
@@ -824,13 +698,13 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
 // ---------------------------------------------------------------------------
 
 Status ShardedPebEngine::MergeShards(const std::vector<size_t>& which) {
-  if (!delta_on_ || which.empty()) return Status::OK();
+  if (which.empty()) return Status::OK();
   WriterMutexLock state_lock(&state_mu_);
   return MergeShardsLocked(which);
 }
 
 Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
-  if (!delta_on_ || which.empty()) return Status::OK();
+  if (which.empty()) return Status::OK();
   // Only PUBLISHED records drain: a batch mid-append (writers do not hold
   // the state lock) must not become visible through the tree before its
   // publication makes it visible through the delta.
@@ -919,14 +793,15 @@ Status ShardedPebEngine::MaybeMergeDeltas() {
   return MergeShards(which);
 }
 
-Status ShardedPebEngine::MergeDeltas() {
-  if (!delta_on_) return Status::OK();
+std::vector<size_t> ShardedPebEngine::NonEmptyDeltas() const {
   std::vector<size_t> which;
   for (size_t s = 0; s < deltas_.size(); ++s) {
     if (deltas_[s]->records() > 0) which.push_back(s);
   }
-  return MergeShards(which);
+  return which;
 }
+
+Status ShardedPebEngine::MergeDeltas() { return MergeShards(NonEmptyDeltas()); }
 
 ShardedPebEngine::DeltaStats ShardedPebEngine::delta_stats() const {
   DeltaStats out;
@@ -1019,14 +894,13 @@ Status ShardedPebEngine::RunExclusive(const std::function<Status()>& fn) {
 // ---------------------------------------------------------------------------
 
 size_t ShardedPebEngine::SizeLocked() const {
-  const uint64_t watermark =
-      delta_on_ ? published_seq_.load(std::memory_order_acquire) : 0;
+  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
   size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
     size_t n = shard.tree->size();
-    if (delta_on_ && deltas_[s]->records() > 0) {
+    if (deltas_[s]->records() > 0) {
       // Authoritative logical size: a delta-only insert adds a user the
       // tree does not host yet; a tombstone of a tree-resident user
       // removes one. (The raw pointer keeps the guarded access out of the
@@ -1129,12 +1003,10 @@ Result<std::vector<UserId>> ShardedPebEngine::RangeQueryWithStats(
   // Delta overlay: friends with a visible delta record leave the tree
   // candidate lists and are answered from their delta state below, through
   // the same Definition-2 predicate the tree scans apply — so the answer
-  // is bit-identical to direct apply at the same update prefix.
+  // equals brute force over the logical state at the pinned update prefix.
   std::vector<DeltaCandidate> delta_cands;
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    OverlayFriends(&per_shard, watermark, &delta_cands);
-  }
+  OverlayFriends(&per_shard, published_seq_.load(std::memory_order_acquire),
+                 &delta_cands);
   SharedScanCache cache;  // One window decomposition for all shards.
 
   struct Slot {
@@ -1221,45 +1093,38 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   std::vector<std::vector<FriendEntry>> per_shard = PartitionFriends(issuer);
 
   // The engine drives the Figure-9 enlargement: every shard enlarges with
-  // the same schedule (derived from GLOBAL workload state, so shard count
-  // never changes the search geometry), scanning only its own friend rows.
-  // On the incremental path the schedule starts at the cost model's
-  // candidate-density seed radius; on the legacy path it is the
-  // paper-literal Dk/k step.
-  const bool incremental = options_.tree.index.incremental_knn;
-  double rq;
-  if (incremental) {
-    size_t total_friends = 0;
-    for (const auto& fl : per_shard) total_friends += fl.size();
-    rq = KnnSeedRadiusFor(total_friends, SizeLocked(),
-                          snapshot_->num_users(), k,
-                          options_.tree.index.space_side);
-  } else {
-    rq = EstimateKnnDistanceFor(SizeLocked(), k,
-                                options_.tree.index.space_side) /
-         static_cast<double>(k);
+  // the same schedule, starting at the cost model's candidate-density seed
+  // radius derived from GLOBAL state (the issuer's whole friend list and
+  // the shard trees' total population), so shard count never changes the
+  // search geometry; each shard scans only its own friend rows. The seed
+  // only shapes the search, never the answer, so it reads the tree sizes
+  // and leaves buffered delta records out.
+  size_t total_friends = 0;
+  for (const auto& fl : per_shard) total_friends += fl.size();
+  size_t indexed = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(&shard->mu);
+    indexed += shard->tree->size();
   }
-  // Delta overlay AFTER the seed radius: the schedule above already uses
-  // the authoritative SizeLocked() and the PRE-overlay friend count, so a
-  // delta engine and a direct-apply engine at the same update prefix run
-  // the identical enlargement geometry. Shadowed friends are answered
-  // exactly, from their delta state, before any scan runs — the same
-  // verification and distance the tree's InsertVerified would compute.
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    std::vector<DeltaCandidate> delta_cands;
-    OverlayFriends(&per_shard, watermark, &delta_cands);
-    for (const DeltaCandidate& c : delta_cands) {
-      const Point pos = c.state.PositionAt(tq);
-      if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
-                                 issuer, c.uid, pos, tq)) {
-        Neighbor nb{c.uid, pos.DistanceTo(qloc)};
-        auto at = std::lower_bound(verified.begin(), verified.end(), nb,
-                                   [](const Neighbor& a, const Neighbor& b) {
-                                     return a.distance < b.distance;
-                                   });
-        verified.insert(at, nb);
-      }
+  const double rq =
+      KnnSeedRadiusFor(total_friends, indexed, snapshot_->num_users(), k,
+                       options_.tree.index.space_side);
+  // Delta overlay: shadowed friends are answered exactly, from their delta
+  // state, before any scan runs — the same verification and distance the
+  // tree's InsertVerified would compute.
+  std::vector<DeltaCandidate> delta_cands;
+  OverlayFriends(&per_shard, published_seq_.load(std::memory_order_acquire),
+                 &delta_cands);
+  for (const DeltaCandidate& c : delta_cands) {
+    const Point pos = c.state.PositionAt(tq);
+    if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
+                               issuer, c.uid, pos, tq)) {
+      Neighbor nb{c.uid, pos.DistanceTo(qloc)};
+      auto at = std::lower_bound(verified.begin(), verified.end(), nb,
+                                 [](const Neighbor& a, const Neighbor& b) {
+                                   return a.distance < b.distance;
+                                 });
+      verified.insert(at, nb);
     }
   }
   SharedScanCache cache;  // One ring decomposition per round for all shards.
@@ -1271,7 +1136,6 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
     IoStats io;
   };
   std::vector<Slot> slots(shards_.size());
-  size_t max_diagonals = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) continue;
     BufferPool::ThreadIoScope io_scope(collect ? &slots[s].io : nullptr);
@@ -1280,199 +1144,137 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
     MutexLock lock(&shard.mu);
     slots[s].scan.emplace(
         shard.tree->NewKnnScan(issuer, qloc, tq, rq, per_shard[s], &cache));
-    max_diagonals = std::max(max_diagonals, slots[s].scan->max_diagonals());
   }
 
-  if (incremental) {
-    // Streaming merge: ONE task per shard drives that shard's whole scan,
-    // publishing each anti-diagonal's candidates into the shared verified
-    // list as soon as they exist — no engine-wide per-round barrier, so a
-    // shard whose friends sit near the query point finishes and frees its
-    // worker while a sparse shard is still enlarging. Once k verified
-    // candidates exist globally, a shard whose covered radius already
-    // reaches the k-th distance RETIRES outright (its remaining annuli and
-    // final vertical scan provably cannot beat any current top-k entry);
-    // otherwise it stops enlarging and runs one vertical delta scan.
-    // Retirement with the k-th distance of the moment stays correct when
-    // later merges shrink it: unexamined users are farther than the
-    // retirement-time bound, which only ever exceeds the final one.
-    telemetry::TraceBuilder* trace = collect ? stats->trace : nullptr;
-    const size_t trace_parent =
-        collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
-    Mutex merge_mu;
-    std::vector<std::function<void()>> tasks;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!slots[s].scan.has_value()) continue;
-      tasks.push_back([this, s, k, collect, trace, trace_parent, &slots,
-                       &verified, &merge_mu] {
-        Slot& sl = slots[s];
-        BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-        size_t shard_span = telemetry::TraceSpan::kNoParent;
+  // Streaming merge: ONE task per shard drives that shard's whole scan,
+  // publishing each anti-diagonal's candidates into the shared verified
+  // list as soon as they exist — no engine-wide per-round barrier, so a
+  // shard whose friends sit near the query point finishes and frees its
+  // worker while a sparse shard is still enlarging. Once k verified
+  // candidates exist globally, a shard whose covered radius already
+  // reaches the k-th distance RETIRES outright (its remaining annuli and
+  // final vertical scan provably cannot beat any current top-k entry);
+  // otherwise it stops enlarging and runs one vertical delta scan.
+  // Retirement with the k-th distance of the moment stays correct when
+  // later merges shrink it: unexamined users are farther than the
+  // retirement-time bound, which only ever exceeds the final one.
+  telemetry::TraceBuilder* trace = collect ? stats->trace : nullptr;
+  const size_t trace_parent =
+      collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
+  Mutex merge_mu;
+  std::vector<std::function<void()>> tasks;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!slots[s].scan.has_value()) continue;
+    tasks.push_back([this, s, k, collect, trace, trace_parent, &slots,
+                     &verified, &merge_mu] {
+      Slot& sl = slots[s];
+      BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
+      size_t shard_span = telemetry::TraceSpan::kNoParent;
+      if (trace != nullptr) {
+        shard_span =
+            trace->StartSpan("shard " + std::to_string(s), trace_parent);
+        trace->Annotate(
+            shard_span, "runs=" + std::to_string(sl.scan->num_rows()));
+      }
+      Shard& shard = *shards_[s];
+      const size_t nd = sl.scan->max_diagonals();
+      // Per-round work a child span should be charged with: an inner
+      // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope
+      // for its extent and the delta must be added back to sl.io by hand.
+      auto scan_round = [&](const std::string& name, size_t d,
+                            auto&& run) {
+        size_t round_span = telemetry::TraceSpan::kNoParent;
+        IoStats round_io;
+        QueryCounters before;
+        std::optional<BufferPool::ThreadIoScope> round_scope;
         if (trace != nullptr) {
-          shard_span =
-              trace->StartSpan("shard " + std::to_string(s), trace_parent);
-          trace->Annotate(
-              shard_span, "runs=" + std::to_string(sl.scan->num_rows()));
+          round_span = trace->StartSpan(name, shard_span);
+          before = sl.scan->counters();
+          round_scope.emplace(&round_io);
         }
-        Shard& shard = *shards_[s];
-        const size_t nd = sl.scan->max_diagonals();
-        // Per-round work a child span should be charged with: an inner
-        // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope
-        // for its extent and the delta must be added back to sl.io by hand.
-        auto scan_round = [&](const std::string& name, size_t d,
-                              auto&& run) {
-          size_t round_span = telemetry::TraceSpan::kNoParent;
-          IoStats round_io;
-          QueryCounters before;
-          std::optional<BufferPool::ThreadIoScope> round_scope;
-          if (trace != nullptr) {
-            round_span = trace->StartSpan(name, shard_span);
-            before = sl.scan->counters();
-            round_scope.emplace(&round_io);
-          }
-          {
-            MutexLock lock(&shard.mu);
-            sl.status = run();
-          }
-          if (trace != nullptr) {
-            round_scope.reset();
-            sl.io += round_io;
-            QueryCounters after = sl.scan->counters();
-            QueryCounters delta;
-            delta.candidates_examined =
-                after.candidates_examined - before.candidates_examined;
-            delta.results = after.results - before.results;
-            delta.range_probes = after.range_probes - before.range_probes;
-            delta.rounds = after.rounds - before.rounds;
-            delta.seek_descents =
-                after.seek_descents - before.seek_descents;
-            delta.leaf_hops = after.leaf_hops - before.leaf_hops;
-            trace->AddStats(round_span, delta, round_io);
-            trace->Annotate(round_span,
-                            "radius=" + std::to_string(
-                                            sl.scan->RadiusForRound(d)));
-            trace->EndSpan(round_span);
-          }
-        };
-        auto close_shard_span = [&] {
-          if (trace != nullptr) {
-            trace->AddStats(shard_span, sl.scan->counters(), sl.io);
-            trace->EndSpan(shard_span);
-          }
-        };
-        for (size_t d = 0; d < nd; ++d) {
-          if (sl.scan->AllFound()) break;
-          double dk = 0.0;
-          bool have_k = false;
-          {
-            MutexLock g(&merge_mu);
-            if (verified.size() >= k) {
-              have_k = true;
-              dk = verified[k - 1].distance;
-            }
-          }
-          // shard.mu is taken per scan step, not for the whole task:
-          // other queries touching this shard interleave between rounds
-          // exactly as they did between the legacy path's barriers.
-          // (Mutations stay excluded for the whole query by state_mu_.)
-          if (have_k) {
-            // The global k-th distance bounds this shard's remaining work:
-            // it retires here, after at most one closing vertical scan.
-            telemetry::Inc(pknn_retirements_);
-            if (d == 0 ||
-                sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
-              sl.fresh.clear();
-              scan_round("vertical", d, [&] {
-                return sl.scan->VerticalScan(dk, &sl.fresh);
-              });
-              if (!sl.status.ok() || sl.fresh.empty()) break;
-              MutexLock g(&merge_mu);
-              KWayMergeByDistance({&sl.fresh}, &verified);
-            }
-            // Else retired outright: the covered radius already reaches
-            // the global k-th distance, so even the vertical scan is moot.
-            break;
-          }
-          sl.fresh.clear();
-          telemetry::Inc(pknn_rounds_);
-          scan_round("round " + std::to_string(d), d, [&] {
-            return sl.scan->ScanDiagonal(d, &sl.fresh);
-          });
-          if (!sl.status.ok()) break;
-          if (!sl.fresh.empty()) {
-            MutexLock g(&merge_mu);
-            KWayMergeByDistance({&sl.fresh}, &verified);
+        {
+          MutexLock lock(&shard.mu);
+          sl.status = run();
+        }
+        if (trace != nullptr) {
+          round_scope.reset();
+          sl.io += round_io;
+          QueryCounters after = sl.scan->counters();
+          QueryCounters delta;
+          delta.candidates_examined =
+              after.candidates_examined - before.candidates_examined;
+          delta.results = after.results - before.results;
+          delta.range_probes = after.range_probes - before.range_probes;
+          delta.rounds = after.rounds - before.rounds;
+          delta.seek_descents =
+              after.seek_descents - before.seek_descents;
+          delta.leaf_hops = after.leaf_hops - before.leaf_hops;
+          trace->AddStats(round_span, delta, round_io);
+          trace->Annotate(round_span,
+                          "radius=" + std::to_string(
+                                          sl.scan->RadiusForRound(d)));
+          trace->EndSpan(round_span);
+        }
+      };
+      auto close_shard_span = [&] {
+        if (trace != nullptr) {
+          trace->AddStats(shard_span, sl.scan->counters(), sl.io);
+          trace->EndSpan(shard_span);
+        }
+      };
+      for (size_t d = 0; d < nd; ++d) {
+        if (sl.scan->AllFound()) break;
+        double dk = 0.0;
+        bool have_k = false;
+        {
+          MutexLock g(&merge_mu);
+          if (verified.size() >= k) {
+            have_k = true;
+            dk = verified[k - 1].distance;
           }
         }
-        // Every diagonal exhausted: the scan covered the whole space for
-        // each run that still has unlocated users, so those users are
-        // simply not hosted here — nothing left to rule out.
-        close_shard_span();
-      });
-    }
-    threads_.RunAll(std::move(tasks));
-    for (Slot& slot : slots) {
-      if (!slot.scan.has_value()) continue;
-      PEB_RETURN_NOT_OK(slot.status);
-    }
-  } else {
-    bool need_vertical = false;
-    for (size_t d = 0; d < max_diagonals && !need_vertical; ++d) {
-      std::vector<std::function<void()>> tasks;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        Slot& slot = slots[s];
-        if (!slot.scan.has_value() || slot.scan->AllFound()) continue;
-        if (d >= slot.scan->max_diagonals()) continue;
-        tasks.push_back([this, s, d, collect, &slots] {
-          Slot& sl = slots[s];
-          BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-          telemetry::Inc(pknn_rounds_);
-          Shard& shard = *shards_[s];
-          MutexLock lock(&shard.mu);
-          sl.status = sl.scan->ScanDiagonal(d, &sl.fresh);
+        // shard.mu is taken per scan step, not for the whole task: other
+        // queries touching this shard interleave between rounds.
+        // (Mutations stay excluded for the whole query by state_mu_.)
+        if (have_k) {
+          // The global k-th distance bounds this shard's remaining work:
+          // it retires here, after at most one closing vertical scan.
+          telemetry::Inc(pknn_retirements_);
+          if (d == 0 ||
+              sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
+            sl.fresh.clear();
+            scan_round("vertical", d, [&] {
+              return sl.scan->VerticalScan(dk, &sl.fresh);
+            });
+            if (!sl.status.ok() || sl.fresh.empty()) break;
+            MutexLock g(&merge_mu);
+            MergeByDistance(sl.fresh, &verified);
+          }
+          // Else retired outright: the covered radius already reaches
+          // the global k-th distance, so even the vertical scan is moot.
+          break;
+        }
+        sl.fresh.clear();
+        telemetry::Inc(pknn_rounds_);
+        scan_round("round " + std::to_string(d), d, [&] {
+          return sl.scan->ScanDiagonal(d, &sl.fresh);
         });
+        if (!sl.status.ok()) break;
+        if (!sl.fresh.empty()) {
+          MutexLock g(&merge_mu);
+          MergeByDistance(sl.fresh, &verified);
+        }
       }
-      if (tasks.empty()) break;  // Every shard located all its friends.
-      threads_.RunAll(std::move(tasks));
-
-      std::vector<const std::vector<Neighbor>*> fresh_lists;
-      for (Slot& slot : slots) {
-        if (!slot.scan.has_value()) continue;
-        PEB_RETURN_NOT_OK(slot.status);
-        fresh_lists.push_back(&slot.fresh);
-      }
-      KWayMergeByDistance(std::move(fresh_lists), &verified);
-      for (Slot& slot : slots) slot.fresh.clear();
-      if (verified.size() >= k) need_vertical = true;
-    }
-
-    // Section 5.4's final step, fanned out: every shard with unlocated
-    // friends scans the square bounded by the global k-th distance, ruling
-    // out closer unexamined candidates. After this the merged list is
-    // exact.
-    if (need_vertical) {
-      double dk = verified[k - 1].distance;
-      std::vector<std::function<void()>> tasks;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        Slot& slot = slots[s];
-        if (!slot.scan.has_value() || slot.scan->AllFound()) continue;
-        tasks.push_back([this, s, dk, collect, &slots] {
-          Slot& sl = slots[s];
-          BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-          Shard& shard = *shards_[s];
-          MutexLock lock(&shard.mu);
-          sl.status = sl.scan->VerticalScan(dk, &sl.fresh);
-        });
-      }
-      threads_.RunAll(std::move(tasks));
-      std::vector<const std::vector<Neighbor>*> fresh_lists;
-      for (Slot& slot : slots) {
-        if (!slot.scan.has_value()) continue;
-        PEB_RETURN_NOT_OK(slot.status);
-        fresh_lists.push_back(&slot.fresh);
-      }
-      KWayMergeByDistance(std::move(fresh_lists), &verified);
-    }
+      // Every diagonal exhausted: the scan covered the whole space for
+      // each run that still has unlocated users, so those users are
+      // simply not hosted here — nothing left to rule out.
+      close_shard_span();
+    });
+  }
+  threads_.RunAll(std::move(tasks));
+  for (Slot& slot : slots) {
+    if (!slot.scan.has_value()) continue;
+    PEB_RETURN_NOT_OK(slot.status);
   }
 
   if (verified.size() > k) verified.resize(k);
@@ -1496,18 +1298,16 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
   const size_t idx = router_->ShardOf(id);
   const Shard& s = *shards_[idx];
   MutexLock lock(&s.mu);
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    if (deltas_[idx]->records() > 0) {
-      ShardDelta::Record rec;
-      telemetry::Inc(delta_probes_);
-      if (deltas_[idx]->LatestVisible(id, watermark, &rec)) {
-        telemetry::Inc(delta_shadowed_);
-        if (rec.tombstone) {
-          return Status::NotFound("object " + std::to_string(id));
-        }
-        return rec.state;
+  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
+  if (deltas_[idx]->records() > 0) {
+    ShardDelta::Record rec;
+    telemetry::Inc(delta_probes_);
+    if (deltas_[idx]->LatestVisible(id, watermark, &rec)) {
+      telemetry::Inc(delta_shadowed_);
+      if (rec.tombstone) {
+        return Status::NotFound("object " + std::to_string(id));
       }
+      return rec.state;
     }
   }
   return s.tree->GetObject(id);
@@ -1519,7 +1319,6 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
 
 Status ShardedPebEngine::ValidateLocked() const {
   const uint64_t epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
-  size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
@@ -1540,57 +1339,48 @@ Status ShardedPebEngine::ValidateLocked() const {
       }
     });
     PEB_RETURN_NOT_OK(routing);
-    if (delta_on_) {
-      // Delta invariants: every buffered record routed here, in-bounds,
-      // per-user seqs ascending, no tombstone chains, and a user whose
-      // FIRST buffered record is a tombstone must still be tree-resident
-      // (Delete only ever tombstones a then-present user, and merges drain
-      // record prefixes atomically with the tree application).
-      const PebTree* tree = shard.tree.get();
-      Status delta_st = Status::OK();
-      UserId prev_uid = kInvalidUserId;
-      uint64_t prev_seq = 0;
-      bool prev_tomb = false;
-      deltas_[s]->ForEachRecord([&](UserId uid,
-                                    const ShardDelta::Record& rec) {
-        if (!delta_st.ok()) return;
-        if (router_->ShardOf(uid) != s) {
-          delta_st = Status::Corruption(
-              "delta record for user " + std::to_string(uid) +
-              " buffered by shard " + std::to_string(s) +
-              " but routed to shard " +
-              std::to_string(router_->ShardOf(uid)));
-        } else if (uid >= num_users_) {
-          delta_st = Status::Corruption(
-              "delta record for user " + std::to_string(uid) +
-              " outside the policy encoding");
-        } else if (uid == prev_uid && rec.seq < prev_seq) {
-          delta_st = Status::Corruption(
-              "delta seqs not ascending for user " + std::to_string(uid));
-        } else if (uid == prev_uid && rec.tombstone && prev_tomb) {
-          delta_st = Status::Corruption(
-              "consecutive tombstones buffered for user " +
-              std::to_string(uid));
-        } else if (uid != prev_uid && rec.tombstone &&
-                   !tree->GetObject(uid).ok()) {
-          delta_st = Status::Corruption(
-              "leading tombstone for user " + std::to_string(uid) +
-              " who is not hosted by shard " + std::to_string(s) +
-              "'s tree");
-        }
-        prev_uid = uid;
-        prev_seq = rec.seq;
-        prev_tomb = rec.tombstone;
-      });
-      PEB_RETURN_NOT_OK(delta_st);
-    }
-    total += shard.tree->size();
-  }
-  if (!delta_on_ && total != SizeLocked()) {
-    // With delta ingestion on, writers may publish between the two reads —
-    // logical-size exactness is covered by the merge-time agreement checks
-    // and the oracle equivalence tests instead.
-    return Status::Corruption("engine size drifted during validation");
+    // Delta invariants: every buffered record routed here, in-bounds,
+    // per-user seqs ascending, no tombstone chains, and a user whose
+    // FIRST buffered record is a tombstone must still be tree-resident
+    // (Delete only ever tombstones a then-present user, and merges drain
+    // record prefixes atomically with the tree application).
+    const PebTree* tree = shard.tree.get();
+    Status delta_st = Status::OK();
+    UserId prev_uid = kInvalidUserId;
+    uint64_t prev_seq = 0;
+    bool prev_tomb = false;
+    deltas_[s]->ForEachRecord([&](UserId uid,
+                                  const ShardDelta::Record& rec) {
+      if (!delta_st.ok()) return;
+      if (router_->ShardOf(uid) != s) {
+        delta_st = Status::Corruption(
+            "delta record for user " + std::to_string(uid) +
+            " buffered by shard " + std::to_string(s) +
+            " but routed to shard " +
+            std::to_string(router_->ShardOf(uid)));
+      } else if (uid >= num_users_) {
+        delta_st = Status::Corruption(
+            "delta record for user " + std::to_string(uid) +
+            " outside the policy encoding");
+      } else if (uid == prev_uid && rec.seq < prev_seq) {
+        delta_st = Status::Corruption(
+            "delta seqs not ascending for user " + std::to_string(uid));
+      } else if (uid == prev_uid && rec.tombstone && prev_tomb) {
+        delta_st = Status::Corruption(
+            "consecutive tombstones buffered for user " +
+            std::to_string(uid));
+      } else if (uid != prev_uid && rec.tombstone &&
+                 !tree->GetObject(uid).ok()) {
+        delta_st = Status::Corruption(
+            "leading tombstone for user " + std::to_string(uid) +
+            " who is not hosted by shard " + std::to_string(s) +
+            "'s tree");
+      }
+      prev_uid = uid;
+      prev_seq = rec.seq;
+      prev_tomb = rec.tombstone;
+    });
+    PEB_RETURN_NOT_OK(delta_st);
   }
   return pool_.ValidateInvariants();
 }

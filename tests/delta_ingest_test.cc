@@ -1,15 +1,17 @@
-// Log-structured ingestion tests: with delta_ingest on, every response —
-// PRQ, PkNN, GetObject, size, continuous-query results and event streams —
-// must be bit-identical to a direct-apply engine replayed at the same
-// update prefix, across shard counts, under randomized interleavings of
-// update batches, joins/leaves, queries, and explicit merges. A concurrent
-// smoke (background merge thread + writers + readers) runs under the TSan
-// CI job.
+// Log-structured ingestion tests: every engine response — PRQ, PkNN,
+// GetObject, size, continuous-query results and event streams — must equal
+// a single PEB-tree that applies the same events directly, and the query
+// answers must equal the brute-force Definition 2/3 scans (test_util.h)
+// over a dataset replayed with those events, across shard counts, under
+// randomized interleavings of update batches, joins/leaves, queries, and
+// explicit merges. A concurrent smoke (background merge thread + writers +
+// readers) runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "peb/continuous.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -32,18 +35,16 @@ using eval::QuerySetOptions;
 using eval::Workload;
 using eval::WorkloadParams;
 
-std::unique_ptr<ShardedPebEngine> MakeModeEngine(Workload& w, size_t shards,
-                                                 bool delta_ingest,
-                                                 size_t merge_threshold,
-                                                 size_t hard_cap = 0,
-                                                 size_t background_ms = 0,
-                                                 bool paranoid = true) {
+std::unique_ptr<ShardedPebEngine> MakeDeltaEngine(Workload& w, size_t shards,
+                                                  size_t merge_threshold,
+                                                  size_t hard_cap = 0,
+                                                  size_t background_ms = 0,
+                                                  bool paranoid = true) {
   EngineOptions opts;
   opts.num_shards = shards;
   opts.num_threads = shards == 1 ? 0 : 4;
   opts.buffer_pages = w.params().buffer_pages;
   opts.tree = eval::PebOptionsFor(w.params());
-  opts.tree.index.delta_ingest = delta_ingest;
   opts.tree.index.paranoid_checks = paranoid;
   opts.delta.merge_threshold = merge_threshold;
   opts.delta.hard_cap = hard_cap;
@@ -54,6 +55,52 @@ std::unique_ptr<ShardedPebEngine> MakeModeEngine(Workload& w, size_t shards,
   return engine;
 }
 
+/// The oracle world: one PEB-tree that applies every event directly to its
+/// B+-tree, plus the logical object table replayed with the same events
+/// for the brute-force scans.
+struct Oracle {
+  explicit Oracle(Workload& w) {
+    pool = std::make_unique<BufferPool>(
+        &disk, BufferPoolOptions{w.params().buffer_pages});
+    tree = std::make_unique<PebTree>(pool.get(),
+                                     eval::PebOptionsFor(w.params()),
+                                     &w.store(), &w.roles(),
+                                     w.catalog()->snapshot());
+    for (const MovingObject& o : w.dataset().objects) {
+      EXPECT_TRUE(tree->Insert(o).ok());
+      live[o.id] = o;
+    }
+  }
+
+  Status Insert(const MovingObject& o) {
+    Status st = tree->Insert(o);
+    if (st.ok()) live[o.id] = o;
+    return st;
+  }
+  /// Upsert, like ApplyBatch.
+  Status Update(const MovingObject& o) {
+    Status st = tree->Update(o);
+    if (st.ok()) live[o.id] = o;
+    return st;
+  }
+  Status Delete(UserId id) {
+    Status st = tree->Delete(id);
+    if (st.ok()) live.erase(id);
+    return st;
+  }
+
+  Dataset Replayed() const {
+    Dataset ds;
+    for (const auto& [id, o] : live) ds.objects.push_back(o);
+    return ds;
+  }
+
+  InMemoryDiskManager disk;
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<PebTree> tree;
+  std::map<UserId, MovingObject> live;
+};
+
 std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
     if (a.distance != b.distance) return a.distance < b.distance;
@@ -62,43 +109,56 @@ std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   return v;
 }
 
-/// Every query answer of `got` (delta-ingest) bit-identical to `want`
-/// (direct-apply oracle) at the same update prefix.
-void ExpectSameAnswers(Workload& w, ShardedPebEngine& got,
-                       ShardedPebEngine& want, uint64_t query_seed,
-                       const char* context) {
+void ExpectSameNeighbors(const std::vector<Neighbor>& want,
+                         const std::vector<Neighbor>& got,
+                         const char* context) {
+  std::vector<Neighbor> gn = Normalized(got);
+  ASSERT_EQ(gn.size(), want.size()) << context;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(gn[r].uid, want[r].uid) << context << " rank " << r;
+    EXPECT_EQ(gn[r].distance, want[r].distance) << context << " rank " << r;
+  }
+}
+
+/// Every query answer of the engine equal to the brute-force scan of the
+/// oracle's replayed dataset AND to the oracle tree, plus size agreement.
+void ExpectSameAnswers(Workload& w, ShardedPebEngine& got, Oracle& oracle,
+                       uint64_t query_seed, const char* context) {
+  const Dataset ds = oracle.Replayed();
+  const double td = w.params().time_domain;
+  EXPECT_EQ(got.size(), ds.objects.size()) << context;
+  EXPECT_EQ(oracle.tree->size(), ds.objects.size()) << context;
   QuerySetOptions q;
   q.count = 10;
   q.window_side = 250.0;
   q.seed = query_seed;
   for (const auto& prq : MakePrqQueries(w, q)) {
+    const std::vector<UserId> want = testing::BruteForcePrq(
+        ds, w.store(), w.roles(), prq.issuer, prq.range, prq.tq, td);
     auto a = got.RangeQuery(prq.issuer, prq.range, prq.tq);
-    auto b = want.RangeQuery(prq.issuer, prq.range, prq.tq);
+    auto b = oracle.tree->RangeQuery(prq.issuer, prq.range, prq.tq);
     ASSERT_TRUE(a.ok() && b.ok()) << context;
-    EXPECT_EQ(*a, *b) << context;
+    EXPECT_EQ(*a, want) << context;
+    EXPECT_EQ(*b, want) << context;
   }
   for (const auto& knn : MakePknnQueries(w, q)) {
+    const std::vector<Neighbor> want = testing::BruteForcePknn(
+        ds, w.store(), w.roles(), knn.issuer, knn.qloc, knn.k, knn.tq, td);
     auto a = got.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
-    auto b = want.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
+    auto b = oracle.tree->KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
     ASSERT_TRUE(a.ok() && b.ok()) << context;
-    std::vector<Neighbor> an = Normalized(*a);
-    std::vector<Neighbor> bn = Normalized(*b);
-    ASSERT_EQ(an.size(), bn.size()) << context;
-    for (size_t r = 0; r < an.size(); ++r) {
-      EXPECT_EQ(an[r].uid, bn[r].uid) << context << " rank " << r;
-      EXPECT_DOUBLE_EQ(an[r].distance, bn[r].distance)
-          << context << " rank " << r;
-    }
+    ExpectSameNeighbors(want, *a, context);
+    ExpectSameNeighbors(want, *b, context);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Randomized interleaving vs the direct-apply oracle
+// Randomized interleaving vs the oracles
 // ---------------------------------------------------------------------------
 
 class DeltaIngestOracleTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
+TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesOracles) {
   const size_t shards = GetParam();
   WorkloadParams wp;
   wp.num_users = 500;
@@ -110,25 +170,22 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
 
   // Small merge threshold so the interleaving crosses many merge points;
   // paranoid_checks audits delta/tree agreement inside every one of them.
-  auto delta = MakeModeEngine(w, shards, /*delta_ingest=*/true,
-                              /*merge_threshold=*/48);
-  auto direct = MakeModeEngine(w, shards, /*delta_ingest=*/false,
-                               /*merge_threshold=*/48);
-  ASSERT_TRUE(delta->delta_ingest_enabled());
-  ASSERT_FALSE(direct->delta_ingest_enabled());
+  auto delta = MakeDeltaEngine(w, shards, /*merge_threshold=*/48);
+  Oracle oracle(w);
 
-  // One deterministic event sequence, applied to both engines.
+  // One deterministic event sequence, applied to the engine and the oracle.
   auto stream = CloneUniformUpdateStream(w);
   ASSERT_NE(stream, nullptr);
 
-  // Continuous queries over each engine, fed identically in stream order.
+  // Continuous queries over the engine and the oracle tree, fed
+  // identically in stream order.
   ContinuousQueryMonitor mon_delta(delta.get(), &w.store(), &w.roles(),
                                    w.catalog()->snapshot());
-  ContinuousQueryMonitor mon_direct(direct.get(), &w.store(), &w.roles(),
+  ContinuousQueryMonitor mon_oracle(oracle.tree.get(), &w.store(), &w.roles(),
                                     w.catalog()->snapshot());
   Timestamp now = w.params().delta_t_mu;
   std::vector<ContinuousQueryId> cq_delta;
-  std::vector<ContinuousQueryId> cq_direct;
+  std::vector<ContinuousQueryId> cq_oracle;
   {
     QuerySetOptions q;
     q.count = 5;
@@ -136,13 +193,13 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
     q.seed = 4242;
     for (const auto& prq : MakePrqQueries(w, q)) {
       auto a = mon_delta.Register(prq.issuer, prq.range, now);
-      auto b = mon_direct.Register(prq.issuer, prq.range, now);
+      auto b = mon_oracle.Register(prq.issuer, prq.range, now);
       ASSERT_TRUE(a.ok() && b.ok());
       cq_delta.push_back(*a);
-      cq_direct.push_back(*b);
+      cq_oracle.push_back(*b);
     }
-    // Seeding runs through each engine's PRQ: identical already.
-    EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
+    // Seeding runs through each index's PRQ: identical already.
+    EXPECT_EQ(mon_delta.TakeEvents(), mon_oracle.TakeEvents());
   }
 
   std::mt19937 rng(1000 + shards);
@@ -153,7 +210,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
   auto check_continuous = [&](const char* context) {
     for (size_t i = 0; i < cq_delta.size(); ++i) {
       auto a = mon_delta.ResultOf(cq_delta[i]);
-      auto b = mon_direct.ResultOf(cq_direct[i]);
+      auto b = mon_oracle.ResultOf(cq_oracle[i]);
       ASSERT_TRUE(a.ok() && b.ok()) << context;
       EXPECT_EQ(*a, *b) << context << " continuous query " << i;
     }
@@ -170,27 +227,27 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
           batch.push_back(stream->Next());
         }
         ASSERT_TRUE(delta->ApplyBatch(batch).ok());
-        ASSERT_TRUE(direct->ApplyBatch(batch).ok());
         for (const UpdateEvent& ev : batch) {
+          ASSERT_TRUE(oracle.Update(ev.state).ok());
           now = std::max(now, ev.t);
           // ApplyBatch upserts: a removed user who updates rejoins.
           removed.erase(std::remove(removed.begin(), removed.end(),
                                     ev.state.id),
                         removed.end());
           ASSERT_TRUE(mon_delta.OnUpdate(ev.state, ev.t).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(ev.state, ev.t).ok());
+          ASSERT_TRUE(mon_oracle.OnUpdate(ev.state, ev.t).ok());
         }
         break;
       }
       case 2: {  // Leave: tombstone in the delta, tree delete in the oracle.
         const UserId uid = static_cast<UserId>(rng() % wp.num_users);
         Status a = delta->Delete(uid);
-        Status b = direct->Delete(uid);
+        Status b = oracle.Delete(uid);
         ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
         EXPECT_EQ(a.message(), b.message());
         if (a.ok()) removed.push_back(uid);
         ASSERT_TRUE(mon_delta.Advance(now).ok());
-        ASSERT_TRUE(mon_direct.Advance(now).ok());
+        ASSERT_TRUE(mon_oracle.Advance(now).ok());
         break;
       }
       case 3: {  // Join: sparse re-insert of a previously removed user.
@@ -204,47 +261,46 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
         obj.vel = {1.0, -1.0};
         obj.tu = now;
         Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
+        Status b = oracle.Insert(obj);
         ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
         EXPECT_EQ(a.message(), b.message());
         removed.erase(removed.begin() + static_cast<ptrdiff_t>(pick));
         ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-        ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
+        ASSERT_TRUE(mon_oracle.OnUpdate(obj, now).ok());
         break;
       }
       case 4: {  // Explicit merge: must not change any answer.
         ASSERT_TRUE(delta->MergeDeltas().ok());
         break;
       }
-      default: {  // Duplicate-insert / missing-delete status parity.
+      default: {  // Duplicate-insert status parity.
         const UserId uid = static_cast<UserId>(rng() % wp.num_users);
         MovingObject obj;
         obj.id = uid;
         obj.tu = now;
         Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
+        Status b = oracle.Insert(obj);
         ASSERT_EQ(a.ok(), b.ok());
         EXPECT_EQ(a.message(), b.message());
-        if (a.ok()) {  // Was removed: keep the engines and books in sync.
+        if (a.ok()) {  // Was removed: keep the indexes and books in sync.
           removed.erase(std::remove(removed.begin(), removed.end(), uid),
                         removed.end());
           ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
+          ASSERT_TRUE(mon_oracle.OnUpdate(obj, now).ok());
         }
         break;
       }
     }
     if (round % 4 == 0) {
-      ExpectSameAnswers(w, *delta, *direct,
+      ExpectSameAnswers(w, *delta, oracle,
                         2000 + static_cast<uint64_t>(round), "round");
       check_continuous("round");
-      EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-      EXPECT_EQ(delta->size(), direct->size());
+      EXPECT_EQ(mon_delta.TakeEvents(), mon_oracle.TakeEvents());
       // Spot-check GetObject, including tombstoned users.
       for (int probe = 0; probe < 8; ++probe) {
         const UserId uid = static_cast<UserId>(rng() % wp.num_users);
         auto a = delta->GetObject(uid);
-        auto b = direct->GetObject(uid);
+        auto b = oracle.tree->GetObject(uid);
         ASSERT_EQ(a.ok(), b.ok()) << "GetObject " << uid;
         if (a.ok()) {
           EXPECT_EQ((*a).pos.x, (*b).pos.x);
@@ -260,18 +316,17 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
     }
   }
 
-  // Settle and compare once more: a fully merged delta engine must still
-  // agree, and its buffers must actually be empty.
+  // Settle and compare once more: a fully merged engine must still agree,
+  // and its buffers must actually be empty.
   ASSERT_TRUE(delta->MergeDeltas().ok());
   EXPECT_EQ(delta->delta_stats().buffered_records, 0u);
   EXPECT_GT(delta->delta_stats().merges, 0u);
   EXPECT_GT(delta->delta_stats().appended_total, 0u);
-  ExpectSameAnswers(w, *delta, *direct, 9999, "final");
+  ExpectSameAnswers(w, *delta, oracle, 9999, "final");
   check_continuous("final");
-  EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-  EXPECT_EQ(delta->size(), direct->size());
+  EXPECT_EQ(mon_delta.TakeEvents(), mon_oracle.TakeEvents());
   ASSERT_TRUE(delta->ValidateInvariants().ok());
-  ASSERT_TRUE(direct->ValidateInvariants().ok());
+  ASSERT_TRUE(oracle.tree->ValidateInvariants().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, DeltaIngestOracleTest,
@@ -290,16 +345,14 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
   wp.seed = 31;
   Workload w = Workload::Build(wp);
   // Threshold high enough that only the hard cap can trigger merges.
-  auto delta = MakeModeEngine(w, 2, /*delta_ingest=*/true,
-                              /*merge_threshold=*/1u << 20,
-                              /*hard_cap=*/32);
-  auto direct = MakeModeEngine(w, 2, /*delta_ingest=*/false,
-                               /*merge_threshold=*/1u << 20);
+  auto delta = MakeDeltaEngine(w, 2, /*merge_threshold=*/1u << 20,
+                               /*hard_cap=*/32);
+  Oracle oracle(w);
   auto stream = CloneUniformUpdateStream(w);
   for (int i = 0; i < 400; ++i) {
     UpdateEvent ev = stream->Next();
     ASSERT_TRUE(delta->Update(ev.state).ok());
-    ASSERT_TRUE(direct->Update(ev.state).ok());
+    ASSERT_TRUE(oracle.Update(ev.state).ok());
     // The per-shard buffer never grows past the cap plus the one record
     // appended after the forced merge.
     for (size_t s = 0; s < delta->num_shards(); ++s) {
@@ -309,7 +362,7 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
   const auto stats = delta->delta_stats();
   EXPECT_GT(stats.backpressure_merges, 0u);
   EXPECT_EQ(stats.appended_total, 400u);
-  ExpectSameAnswers(w, *delta, *direct, 777, "backpressure");
+  ExpectSameAnswers(w, *delta, oracle, 777, "backpressure");
 }
 
 // ---------------------------------------------------------------------------
@@ -326,11 +379,9 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   Workload w = Workload::Build(wp);
   // Background merges every 1ms race the foreground traffic; paranoid off
   // so merge sections stay short and the interleaving space stays large.
-  auto delta = MakeModeEngine(w, 4, /*delta_ingest=*/true,
-                              /*merge_threshold=*/32, /*hard_cap=*/0,
-                              /*background_ms=*/1, /*paranoid=*/false);
-  auto direct = MakeModeEngine(w, 4, /*delta_ingest=*/false,
-                               /*merge_threshold=*/32);
+  auto delta = MakeDeltaEngine(w, 4, /*merge_threshold=*/32, /*hard_cap=*/0,
+                               /*background_ms=*/1, /*paranoid=*/false);
+  Oracle oracle(w);
   auto stream = CloneUniformUpdateStream(w);
 
   constexpr size_t kBatches = 60;
@@ -393,11 +444,12 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
 
   // Settle and compare against the oracle replayed at the same prefix.
   for (const auto& batch : batches) {
-    ASSERT_TRUE(direct->ApplyBatch(batch).ok());
+    for (const UpdateEvent& ev : batch) {
+      ASSERT_TRUE(oracle.Update(ev.state).ok());
+    }
   }
   ASSERT_TRUE(delta->MergeDeltas().ok());
-  EXPECT_EQ(delta->size(), direct->size());
-  ExpectSameAnswers(w, *delta, *direct, 888, "concurrent-settled");
+  ExpectSameAnswers(w, *delta, oracle, 888, "concurrent-settled");
   ASSERT_TRUE(delta->ValidateInvariants().ok());
 }
 

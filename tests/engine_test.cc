@@ -15,6 +15,7 @@
 #include "engine/thread_pool.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -280,99 +281,79 @@ TEST_F(EngineWorldTest, AggregateIoIsTheSharedPool) {
 }
 
 // ---------------------------------------------------------------------------
-// LeafCursor fast path result equivalence
+// Cursor scans vs the brute-force Definition 2/3 oracle
 // ---------------------------------------------------------------------------
 
-// A single PEB-tree on its own pool, configurable down to the legacy
-// per-interval root-descent scan path (kept behind
-// MovingIndexOptions::leaf_cursor_fast_path exactly for this test).
-struct SingleTree {
-  explicit SingleTree(Workload& w, bool fast_path, uint64_t coalesce_gap) {
-    PebTreeOptions opts = eval::PebOptionsFor(w.params());
-    opts.index.leaf_cursor_fast_path = fast_path;
-    opts.index.zrange.coalesce_gap = coalesce_gap;
-    pool = std::make_unique<BufferPool>(
-        &disk, BufferPoolOptions{w.params().buffer_pages});
-    tree = std::make_unique<PebTree>(pool.get(), opts, &w.store(), &w.roles(),
-                                     &w.encoding());
-    for (const MovingObject& o : w.dataset().objects) {
-      EXPECT_TRUE(tree->Insert(o).ok());
+/// Asserts PRQ and PkNN answers from `index` equal the brute-force scans of
+/// `w`'s dataset. Adds the PkNN work counters into `*totals` when given.
+void ExpectMatchesBruteForce(Workload& w, PrivacyAwareIndex& index,
+                             const std::vector<eval::PrqQuery>& prq,
+                             const std::vector<eval::PknnQuery>& knn,
+                             const char* context,
+                             QueryCounters* totals = nullptr) {
+  const double td = w.params().time_domain;
+  for (size_t i = 0; i < prq.size(); ++i) {
+    auto got = index.RangeQuery(prq[i].issuer, prq[i].range, prq[i].tq);
+    ASSERT_TRUE(got.ok()) << context << " PRQ " << i;
+    EXPECT_EQ(*got, testing::BruteForcePrq(w.dataset(), w.store(), w.roles(),
+                                           prq[i].issuer, prq[i].range,
+                                           prq[i].tq, td))
+        << context << " PRQ " << i;
+  }
+  for (size_t i = 0; i < knn.size(); ++i) {
+    QueryStats stats;
+    auto got = index.KnnQueryWithStats(knn[i].issuer, knn[i].qloc, knn[i].k,
+                                       knn[i].tq, &stats);
+    ASSERT_TRUE(got.ok()) << context << " PkNN " << i;
+    if (totals != nullptr) *totals += stats.counters;
+    std::vector<Neighbor> want = testing::BruteForcePknn(
+        w.dataset(), w.store(), w.roles(), knn[i].issuer, knn[i].qloc,
+        knn[i].k, knn[i].tq, td);
+    std::vector<Neighbor> gotn = Normalized(*got);
+    ASSERT_EQ(gotn.size(), want.size()) << context << " PkNN " << i;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(gotn[r].uid, want[r].uid)
+          << context << " PkNN " << i << " rank " << r;
+      // Bit-identical: the tree's stored record holds the same doubles the
+      // oracle extrapolates from.
+      EXPECT_EQ(gotn[r].distance, want[r].distance)
+          << context << " PkNN " << i << " rank " << r;
     }
   }
+}
 
-  InMemoryDiskManager disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<PebTree> tree;
-};
-
-TEST_F(EngineWorldTest, FastPathAnswersAreBitIdenticalToLegacyDescents) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
-  SingleTree fast(world(), /*fast_path=*/true, /*coalesce_gap=*/3);
-
+TEST_F(EngineWorldTest, CursorScanAnswersMatchBruteForce) {
   QuerySetOptions q;
   q.count = 40;
   q.seed = 1234;
   auto prq = MakePrqQueries(world(), q);
   auto knn = MakePknnQueries(world(), q);
-
-  for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = fast.tree->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-  QueryCounters fast_totals;
-  for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
-    QueryStats stats;
-    auto b = fast.tree->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                          query.tq, &stats);
-    fast_totals += stats.counters;
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      // Bit-identical: the fast path scans the same entries in the same
-      // order, so even floating-point distances must match exactly.
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
+  // Exact Z decomposition and the default coalesced one.
+  for (uint64_t gap : {0u, 3u}) {
+    PebTreeOptions opts = eval::PebOptionsFor(world().params());
+    opts.index.zrange.coalesce_gap = gap;
+    InMemoryDiskManager disk;
+    BufferPool pool(&disk, BufferPoolOptions{world().params().buffer_pages});
+    PebTree tree(&pool, opts, &world().store(), &world().roles(),
+                 &world().encoding());
+    for (const MovingObject& o : world().dataset().objects) {
+      ASSERT_TRUE(tree.Insert(o).ok());
     }
+    QueryCounters totals;
+    ExpectMatchesBruteForce(world(), tree, prq, knn, "single-tree", &totals);
+    // The cursor reuses its position: descents far below one per probe.
+    EXPECT_GT(totals.range_probes, 0u);
+    EXPECT_LT(totals.seek_descents, totals.range_probes);
   }
-  // The fast path actually engaged: descents far below one per probe.
-  EXPECT_GT(fast_totals.range_probes, 0u);
-  EXPECT_LT(fast_totals.seek_descents, fast_totals.range_probes);
 }
 
-TEST_F(EngineWorldTest, EngineFastPathMatchesLegacySingleTree) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
+TEST_F(EngineWorldTest, EngineAnswersMatchBruteForce) {
   auto engine = MakeEngine(world(), 4, 4);
-
   QuerySetOptions q;
   q.count = 30;
   q.seed = 4321;
-  auto prq = MakePrqQueries(world(), q);
-  for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = engine->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-  auto knn = MakePknnQueries(world(), q);
-  for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
-    auto b = engine->KnnQuery(query.issuer, query.qloc, query.k, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
-  }
+  ExpectMatchesBruteForce(world(), *engine, MakePrqQueries(world(), q),
+                          MakePknnQueries(world(), q), "engine");
 }
 
 }  // namespace
